@@ -108,8 +108,10 @@ class Server {
   // replacement can bind while we flush), answer every new submit
   // kUnavailable with message "draining" (health probes still served, with
   // the draining flag set), flush every in-flight response, then exit the
-  // event loop. Non-blocking and idempotent; callers still invoke stop()
-  // to join the loop thread and close the epoll/eventfd descriptors.
+  // event loop and close every connection. Probes are answered only while
+  // that flush is pending: a drain with nothing in flight finishes on the
+  // loop's next wakeup. Non-blocking and idempotent; callers still invoke
+  // stop() to join the loop thread and close the epoll/eventfd descriptors.
   void begin_drain();
   bool draining() const { return draining_.load(std::memory_order_acquire); }
 

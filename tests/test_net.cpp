@@ -129,10 +129,16 @@ class BlockingSession final : public serving::Session {
     cv_.notify_all();
   }
 
-  void await_entered() {
+  // True once a request is parked inside run(); false if none arrives
+  // within the bound, so callers ASSERT on it instead of hanging.
+  bool await_entered() {
+    const auto deadline =
+        std::chrono::steady_clock::now() + std::chrono::seconds(10);
     while (!entered.load(std::memory_order_acquire)) {
+      if (std::chrono::steady_clock::now() >= deadline) return false;
       std::this_thread::yield();
     }
+    return true;
   }
 
  private:
@@ -616,7 +622,7 @@ TEST(NetServing, DeadlineExpirySurfacesOnTheWire) {
   park.payload = {0.0f, 0.0f, 0.0f, 0.0f};
   park.deadline_usecs = 0;  // no deadline
   ASSERT_TRUE(client.send_request(park).ok());
-  blocker->await_entered();
+  ASSERT_TRUE(blocker->await_entered());
 
   RequestFrame rushed = park;
   rushed.request_id = 2;
@@ -678,7 +684,7 @@ TEST(NetServing, LoadShedSurfacesAsResourceExhausted) {
   req.payload = {1.0f, 2.0f, 3.0f, 4.0f};
   req.request_id = 1;
   ASSERT_TRUE(client.send_request(req).ok());
-  blocker->await_entered();  // dispatcher parked; queue is empty
+  ASSERT_TRUE(blocker->await_entered());  // dispatcher parked; queue is empty
 
   constexpr int kFlood = 8;  // 4 fit the queue, 4 must shed
   for (int i = 0; i < kFlood; ++i) {
@@ -1277,14 +1283,24 @@ TEST(WireCodec, HealthFramesRoundTripAndTruncationNeedsMore) {
 
 // A live server answers health probes with the scheduler's terminal counters
 // and one record per shard; the draining flag flips after begin_drain() while
-// probes keep being served.
+// probes keep being served. A drain with nothing in flight completes on the
+// loop's next wakeup and closes every connection, so a parked blocker
+// request holds the flush open for the probes.
 TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
+  auto blocker = std::make_shared<BlockingSession>("blocker");
   serving::SchedulerConfig cfg;
   cfg.shards = 2;
   serving::ModelRegistry reg;
   reg.add(serving::make_mlp_session("mlp", tiny_mlp(), 4, 7));
+  reg.add(blocker);
   serving::RequestScheduler sched(cfg);
   Server server(reg, sched, ServerConfig{});
+  // Unparks the blocker on every exit path, so a failed ASSERT cannot leave
+  // the scheduler's shutdown waiting on a request stuck in run().
+  struct ReleaseOnExit {
+    BlockingSession* blocker;
+    ~ReleaseOnExit() { blocker->release(); }
+  } unpark{blocker.get()};
   ASSERT_TRUE(server.start().ok());
 
   Client client;
@@ -1314,6 +1330,18 @@ TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
     EXPECT_EQ(sh.overload_level, 0);
   }
 
+  // Park one request inside the blocker so the drain has a flush pending.
+  // It goes on a second connection: health probes must not be interleaved
+  // with outstanding responses on the same client.
+  Client parked;
+  ASSERT_TRUE(parked.connect("127.0.0.1", server.port()).ok());
+  RequestFrame park;
+  park.request_id = 2;
+  park.name = "blocker";
+  park.payload = {1.0f, 2.0f, 3.0f, 4.0f};
+  ASSERT_TRUE(parked.send_request(park).ok());
+  ASSERT_TRUE(blocker->await_entered());
+
   // Draining servers still answer probes — that is how an orchestrator
   // watches the flush — with the flag set.
   server.begin_drain();
@@ -1330,9 +1358,20 @@ TEST(NetServing, HealthProbeReportsCountersShardsAndDraining) {
   }
   EXPECT_TRUE(saw_draining);
 
+  // Releasing the blocker lets the flush finish: the parked request
+  // resolves OK exactly once.
+  blocker->release();
+  ResponseFrame parked_resp;
+  ASSERT_TRUE(parked.recv_response(&parked_resp).ok());
+  EXPECT_EQ(parked_resp.request_id, 2u);
+  EXPECT_EQ(parked_resp.code, WireCode::kOk) << parked_resp.message;
+
   server.stop();
   sched.shutdown();
+  // No second response: the stream ends at the server's close.
+  EXPECT_FALSE(parked.recv_response(&parked_resp).ok());
   EXPECT_GE(server.stats().health_frames, 3u);
+  EXPECT_EQ(sched.counters().completed, 2u);
 }
 
 // The ISSUE drain scenario: begin_drain() under live pipelined mixed-class
@@ -1367,7 +1406,7 @@ TEST(NetServing, DrainUnderLoadFlushesInFlightAndReleasesPort) {
   // rest pending behind it) before the drain begins.
   ASSERT_TRUE(await_counter(
       sched, &serving::RequestScheduler::Counters::submitted, kInFlight));
-  blocker->await_entered();
+  ASSERT_TRUE(blocker->await_entered());
 
   server.begin_drain();
   EXPECT_TRUE(server.draining());

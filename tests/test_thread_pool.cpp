@@ -5,6 +5,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstring>
 #include <map>
 #include <mutex>
@@ -237,9 +238,20 @@ TEST(PartitionedPool, WholeTeamResultsBitwiseIdenticalAcrossPartitionCounts) {
 
 TEST(PartitionedPool, RunOnExecutesConcurrentlyOnDistinctPartitions) {
   // Two driver threads dispatch onto partitions 0 and 1 at the same time;
-  // both regions must run on their own sub-team (not degrade), and each
-  // must observe the other in flight at least once — proof the partitions
-  // do not serialize on a global dispatch lock.
+  // both regions must run on their own sub-team (not degrade), and the two
+  // regions must be in flight at once — proof the partitions do not
+  // serialize on a global dispatch lock.
+  //
+  // Overlap is proved by a symmetric rendezvous, not by scheduling luck:
+  // each side's tid 0 marks its partition active, then yields until it sees
+  // the other partition active too (or until someone already counted an
+  // overlap, or the shared deadline passes). A side counts an overlap only
+  // if it saw the other active while its own region was still open, so
+  // both regions were live together. Both sides wait, so neither can finish
+  // all its regions before the other starts. A run_on() that serializes the
+  // partitions keeps one side out while the other waits: the first region
+  // times out at the deadline, the rest find it passed, and overlapped
+  // stays 0.
   ThreadPool pool(4, /*pin=*/false, /*partitions=*/2);
   ASSERT_EQ(pool.partition_size(0), 2);
   ASSERT_EQ(pool.partition_size(1), 2);
@@ -249,10 +261,14 @@ TEST(PartitionedPool, RunOnExecutesConcurrentlyOnDistinctPartitions) {
     std::atomic<int> overlapped{0};
     std::atomic<int> ran[2];
     std::atomic<bool> go{false};
+    std::chrono::steady_clock::time_point deadline;
   } ctx;
   ctx.pool = &pool;
   for (auto& a : ctx.active) a.store(0);
   for (auto& r : ctx.ran) r.store(0);
+  // Fixed before either driver starts, so a serializing run_on() fails the
+  // test within this bound instead of hanging.
+  ctx.deadline = std::chrono::steady_clock::now() + std::chrono::seconds(10);
 
   const auto driver = [&ctx](int part) {
     while (!ctx.go.load(std::memory_order_acquire)) std::this_thread::yield();
@@ -268,9 +284,17 @@ TEST(PartitionedPool, RunOnExecutesConcurrentlyOnDistinctPartitions) {
             a->ctx->ran[a->part].fetch_add(1);
             if (tid == 0) {
               a->ctx->active[a->part].store(1, std::memory_order_release);
-              if (a->ctx->active[1 - a->part].load(
-                      std::memory_order_acquire) != 0) {
-                a->ctx->overlapped.fetch_add(1);
+              for (;;) {
+                if (a->ctx->active[1 - a->part].load(
+                        std::memory_order_acquire) != 0) {
+                  a->ctx->overlapped.fetch_add(1);
+                  break;
+                }
+                if (a->ctx->overlapped.load(std::memory_order_acquire) != 0 ||
+                    std::chrono::steady_clock::now() >= a->ctx->deadline) {
+                  break;
+                }
+                std::this_thread::yield();
               }
             }
             a->ctx->pool->barrier(tid);
@@ -290,13 +314,9 @@ TEST(PartitionedPool, RunOnExecutesConcurrentlyOnDistinctPartitions) {
   // Every region ran on a 2-member sub-team: 50 reps x 2 members each.
   EXPECT_EQ(ctx.ran[0].load(), 100);
   EXPECT_EQ(ctx.ran[1].load(), 100);
-  // With enough real cores for both sub-teams, 50 reps per side must
-  // overlap at least once — a global dispatch lock serializing run_on()
-  // would keep this at 0. (Single-core machines time-slice; overlap is
-  // then possible but not guaranteed, so the assertion is gated.)
-  if (std::thread::hardware_concurrency() >= 4) {
-    EXPECT_GT(ctx.overlapped.load(), 0);
-  }
+  // The rendezvous makes overlap certain on any core count — a global
+  // dispatch lock serializing run_on() keeps this at 0.
+  EXPECT_GT(ctx.overlapped.load(), 0);
   const auto stats = pool.stats();
   EXPECT_EQ(stats.partition[0].regions, 50u);
   EXPECT_EQ(stats.partition[1].regions, 50u);
